@@ -417,10 +417,11 @@ let serve_bench () =
   let compile tag n file = ignore (Advisor.compile_source ~file (gen_kernels ~tag n)) in
   let small_alone = time (fun () -> compile "small_alone" 50 "bench-serve-sa.cu") in
   let big_alone = time (fun () -> compile "big_alone" 3000 "bench-serve-ba.cu") in
-  let _, misses0 = Advisor.compile_cache_stats () in
+  let misses () = Obs.Metrics.(counter_value (counter "advisor.compile_cache.misses")) in
+  let misses0 = misses () in
   let big = Domain.spawn (fun () -> compile "big_infl" 3000 "bench-serve-bi.cu") in
   (* wait for the big compile to claim its key (miss counted at claim) *)
-  while snd (Advisor.compile_cache_stats ()) <= misses0 do
+  while misses () <= misses0 do
     Domain.cpu_relax ()
   done;
   let small_during = time (fun () -> compile "small_during" 50 "bench-serve-sd.cu") in
@@ -1029,10 +1030,12 @@ let () =
   | None -> ()
   | Some file ->
     let open Analysis.Json in
-    (* both cache blocks read the Obs registry now; the keys are kept
-       for scripts that already consume them *)
-    let hits, misses = Advisor.compile_cache_stats () in
-    let dhits, dmisses = Ptx.Decode.cache_stats () in
+    (* both cache blocks read the Obs registry counters; the keys are
+       kept for scripts that already consume them *)
+    let cache_block prefix =
+      let count name = Int Obs.Metrics.(counter_value (counter (prefix ^ name))) in
+      Obj [ ("hits", count ".hits"); ("misses", count ".misses") ]
+    in
     let metrics =
       Obj
         (List.map
@@ -1064,8 +1067,8 @@ let () =
           ("tune", Obj (List.rev !tune_rows));
           ("telemetry", Obj !telemetry_rows);
           ("bankconflict", Obj !bankconflict_rows);
-          ("compile_cache", Obj [ ("hits", Int hits); ("misses", Int misses) ]);
-          ("decode_cache", Obj [ ("hits", Int dhits); ("misses", Int dmisses) ]);
+          ("compile_cache", cache_block "advisor.compile_cache");
+          ("decode_cache", cache_block "ptx.decode_cache");
           ("metrics", metrics);
           ("pool_domains", Int (Domain.recommended_domain_count ()));
         ]

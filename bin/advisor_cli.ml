@@ -377,12 +377,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Manifest: {"baseline": "name", "variants": [{"name": ...,
-   "source_file": ... | "source": ..., "block_x": ...,
-   "bypass_warps": ...}, ...]}.  Relative source_file paths resolve
-   against the manifest's directory. *)
+(* Manifest: {"baseline": NAME, "variants": [...]}, the evaluate op's
+   fields read by the serve protocol's own typed readers, plus a
+   CLI-only per-variant "source_file" in place of "source" (relative
+   paths resolve against the manifest's directory). *)
 let parse_manifest path =
   let module Jsonv = Obs.Jsonv in
+  let module P = Serve.Protocol in
   let ( let* ) = Result.bind in
   let* doc =
     match Jsonv.parse (read_file path) with
@@ -390,57 +391,38 @@ let parse_manifest path =
     | Error msg -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg)
     | exception Sys_error msg -> Error msg
   in
-  let str_of = function Some (Jsonv.Str s) -> Some s | _ -> None in
-  let int_of = function
-    | Some (Jsonv.Num f) when Float.is_integer f -> Some (int_of_float f)
-    | _ -> None
+  let variant i item =
+    let* spec = P.variant_at i item in
+    match (spec.Tune.Evaluate.sp_source, Jsonv.member "source_file" item) with
+    | _, (None | Some Jsonv.Null) -> Ok spec
+    | None, Some (Jsonv.Str f) -> (
+      let f =
+        if Filename.is_relative f then Filename.concat (Filename.dirname path) f
+        else f
+      in
+      match read_file f with
+      | src -> Ok { spec with sp_source = Some src }
+      | exception Sys_error msg -> Error msg)
+    | None, Some _ ->
+      Error (Printf.sprintf "variants[%d]: field \"source_file\" must be a string" i)
+    | Some _, Some _ ->
+      Error (Printf.sprintf "variants[%d] has both \"source\" and \"source_file\"" i)
   in
-  let* items =
-    match Jsonv.member "variants" doc with
-    | Some (Jsonv.Arr items) when items <> [] -> Ok items
-    | _ -> Error (Printf.sprintf "%s: needs a non-empty \"variants\" array" path)
+  let rec variants i = function
+    | [] -> Ok []
+    | item :: rest ->
+      let* spec = variant i item in
+      let* rest = variants (i + 1) rest in
+      Ok (spec :: rest)
   in
-  let* specs =
-    List.fold_left
-      (fun acc (i, v) ->
-        let* acc = acc in
-        match v with
-        | Jsonv.Obj _ ->
-          let* source =
-            match (str_of (Jsonv.member "source" v),
-                   str_of (Jsonv.member "source_file" v)) with
-            | Some s, None -> Ok (Some s)
-            | None, Some f -> (
-              let f =
-                if Filename.is_relative f then
-                  Filename.concat (Filename.dirname path) f
-                else f
-              in
-              match read_file f with
-              | s -> Ok (Some s)
-              | exception Sys_error msg -> Error msg)
-            | None, None -> Ok None
-            | Some _, Some _ ->
-              Error
-                (Printf.sprintf
-                   "%s: variants[%d] has both \"source\" and \"source_file\""
-                   path i)
-          in
-          Ok
-            ({ Tune.Evaluate.sp_name =
-                 Option.value
-                   (str_of (Jsonv.member "name" v))
-                   ~default:(Printf.sprintf "v%d" i);
-               sp_source = source;
-               sp_block_x = int_of (Jsonv.member "block_x" v);
-               sp_bypass_warps = int_of (Jsonv.member "bypass_warps" v) }
-            :: acc)
-        | _ ->
-          Error (Printf.sprintf "%s: variants[%d] must be an object" path i))
-      (Ok [])
-      (List.mapi (fun i v -> (i, v)) items)
-  in
-  Ok (List.rev specs, str_of (Jsonv.member "baseline" doc))
+  Result.map_error (Printf.sprintf "%s: %s" path)
+    (let* specs =
+       match Jsonv.member "variants" doc with
+       | Some (Jsonv.Arr items) -> variants 0 items
+       | _ -> Error "needs a \"variants\" array"
+     in
+     let* baseline = P.str_field doc "baseline" in
+     Ok (specs, baseline))
 
 let evaluate_run finish app arch scale files manifest baseline sweep domains
     json =
@@ -473,27 +455,9 @@ let evaluate_run finish app arch scale files manifest baseline sweep domains
         | _ ->
           Error "FILEs, --manifest and --sweep are mutually exclusive"
       in
-      let names = List.map (fun (s : Tune.Evaluate.spec) -> s.sp_name) specs in
-      let* () =
-        match
-          List.find_opt
-            (fun n -> List.length (List.filter (String.equal n) names) > 1)
-            names
-        with
-        | Some n -> Error (Printf.sprintf "duplicate variant name %S" n)
-        | None -> Ok ()
-      in
-      let baseline =
-        match (baseline, manifest_baseline) with
-        | Some b, _ -> b
-        | None, Some b -> b
-        | None, None -> List.hd names
-      in
-      if List.mem baseline names then Ok (specs, baseline)
-      else
-        Error
-          (Printf.sprintf "baseline %S does not name a variant (have: %s)"
-             baseline (String.concat ", " names))
+      let baseline = if baseline = None then manifest_baseline else baseline in
+      let* baseline = Tune.Evaluate.check_plan ?baseline specs in
+      Ok (specs, baseline)
     in
     match plan with
     | Error msg -> `Error (false, msg)

@@ -41,14 +41,3 @@ let of_instances instances =
       })
     { divergent_blocks = 0; total_blocks = 0; per_block = [] }
     instances
-
-(* The block ids whose executions diverge most often, resolved through
-   the manifest for reporting. *)
-let hottest_blocks ~manifest r ~top =
-  r.per_block
-  |> List.filter (fun (_, _, div) -> div > 0)
-  |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-  |> List.filteri (fun i _ -> i < top)
-  |> List.map (fun (bb_id, execs, div) ->
-         let info = Passes.Manifest.block manifest bb_id in
-         (info, execs, div))

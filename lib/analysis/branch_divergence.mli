@@ -16,11 +16,3 @@ val of_instance : Profiler.Profile.instance -> result
 
 (** Merge across all kernel instances of an application run. *)
 val of_instances : Profiler.Profile.instance list -> result
-
-(** The most-divergent blocks resolved to function/block/source through
-    the manifest: (block info, executions, divergent executions). *)
-val hottest_blocks :
-  manifest:Passes.Manifest.t ->
-  result ->
-  top:int ->
-  (Passes.Manifest.block_info * int * int) list

@@ -59,13 +59,6 @@ let by_context instances ~metric =
 let cycles (i : Profiler.Profile.instance) =
   match i.result with Some r -> float_of_int r.Gpusim.Gpu.cycles | None -> 0.
 
-let warp_instructions (i : Profiler.Profile.instance) =
-  match i.result with
-  | Some r -> float_of_int r.Gpusim.Gpu.stats.Gpusim.Stats.warp_insts
-  | None -> 0.
-
-let memory_events (i : Profiler.Profile.instance) = float_of_int i.mem_count
-
 let pp_summary fmt s =
   Format.fprintf fmt "n=%d mean=%.1f min=%.1f max=%.1f stddev=%.1f" s.count s.mean
     s.min s.max s.stddev

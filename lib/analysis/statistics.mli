@@ -25,6 +25,4 @@ val by_context :
 (** {2 Common metrics} *)
 
 val cycles : Profiler.Profile.instance -> float
-val warp_instructions : Profiler.Profile.instance -> float
-val memory_events : Profiler.Profile.instance -> float
 val pp_summary : Format.formatter -> summary -> unit

@@ -62,10 +62,9 @@ let compile_cache_lock = Mutex.create ()
 let compile_cache_cond = Condition.create ()
 
 (* Hit/miss counts live in the Obs metrics registry
-   ("advisor.compile_cache.*"); [compile_cache_stats] remains as the
-   legacy accessor over the same counters.  A "wait" is a request that
-   found its key in flight and blocked for the first compiler (it
-   counts as a hit once the result arrives). *)
+   ("advisor.compile_cache.*").  A "wait" is a request that found its
+   key in flight and blocked for the first compiler (it counts as a hit
+   once the result arrives). *)
 let compile_cache_hits = Obs.Metrics.counter "advisor.compile_cache.hits"
 let compile_cache_misses = Obs.Metrics.counter "advisor.compile_cache.misses"
 let compile_cache_waits = Obs.Metrics.counter "advisor.compile_cache.waits"
@@ -111,10 +110,6 @@ let compile_source ?instrument ~file src =
     | exception e ->
       publish None;
       raise e)
-
-let compile_cache_stats () =
-  ( Obs.Metrics.counter_value compile_cache_hits,
-    Obs.Metrics.counter_value compile_cache_misses )
 
 (* ----- canonical result keys (content-addressed result caching) ----- *)
 
@@ -203,16 +198,13 @@ let profile ?(options = default_options) ?(keep_mem_events = true)
 (* Run [workload] natively (no instrumentation, no profiler); returns
    total kernel cycles — the baseline of the overhead study (Fig. 10)
    and of the bypassing experiments (Figs. 6/7). *)
-let run_native ?(l1_enabled = true) ?(bankmodel = false) ?(transform = fun p -> p)
-    ?scale ?block_x ~arch (workload : Workloads.Common.t) =
+let run_native ?(bankmodel = false) ?(transform = fun p -> p) ?scale ?block_x
+    ~arch (workload : Workloads.Common.t) =
   Obs.Trace.with_span ~cat:"advisor" ("native:" ^ workload.name) @@ fun () ->
   let scale = Option.value scale ~default:workload.default_scale in
   let compiled = compile_source ~file:workload.source_file workload.source in
   let prog = transform compiled.prog in
-  let host =
-    Hostrt.Host.create ~l1_enabled ~bankmodel ?block_x_override:block_x ~arch
-      ~prog ()
-  in
+  let host = Hostrt.Host.create ~bankmodel ?block_x_override:block_x ~arch ~prog () in
   workload.run host ~scale;
   (Hostrt.Host.total_kernel_cycles host, host)
 

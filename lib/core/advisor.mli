@@ -25,12 +25,10 @@ type compiled = {
     workload share one read-only [compiled].  Domain-safe, with per-key
     in-flight tracking: concurrent cold compiles of distinct keys
     overlap, concurrent compiles of the same key block for the first
-    one instead of compiling twice. *)
+    one instead of compiling twice.  Hits and misses count in the
+    [advisor.compile_cache.hits] / [.misses] {!Obs.Metrics} counters. *)
 val compile_source :
   ?instrument:Passes.Instrument.options -> file:string -> string -> compiled
-
-(** (hits, misses) of the compile memo table since process start. *)
-val compile_cache_stats : unit -> int * int
 
 (** Whitespace-normalize device source for cache-key purposes: CRLF →
     LF, trailing whitespace stripped per line, trailing blank lines
@@ -95,7 +93,6 @@ val profile :
     shared-memory bank-conflict replay cycles (see {!profile}); returns
     total kernel cycles and the host. *)
 val run_native :
-  ?l1_enabled:bool ->
   ?bankmodel:bool ->
   ?transform:(Ptx.Isa.prog -> Ptx.Isa.prog) ->
   ?scale:int ->

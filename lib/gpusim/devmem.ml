@@ -114,4 +114,3 @@ let write_bool_array t addr values =
 let read_bool_array t addr n = Array.init n (fun i -> read_u8 t (addr + i) <> 0)
 
 let allocations t = t.allocs
-let used_bytes t = t.brk - base_addr

@@ -42,5 +42,3 @@ val read_bool_array : t -> int -> int -> bool array
 
 (** (base, size) of every allocation, most recent first. *)
 val allocations : t -> (int * int) list
-
-val used_bytes : t -> int

@@ -24,7 +24,6 @@ type ctx = {
   stats : Stats.t;
   grid : int * int;
   block : int * int;
-  l1_enabled : bool;
   (* shared bandwidth queues: next cycle at which the L2 / DRAM can
      accept another transaction.  Thrashing saturates these, which is
      what makes L1 hits (and bypassing) worth anything. *)
@@ -291,11 +290,9 @@ let time_read_txn ctx (sm : sm) ~cache_l1 ~granularity ~now line_addr =
 (* Stores are write-through fire-and-forget: they do not stall the warp
    but they evict L1/L2 copies and consume shared bandwidth. *)
 let time_write_txn ctx (sm : sm) ~now line_addr =
-  if ctx.l1_enabled then begin
-    (* write-evict probe occupies the tag port too *)
-    sm.l1_port_free <- max now sm.l1_port_free + 1;
-    Cache.access_write sm.l1 line_addr
-  end;
+  (* write-evict probe occupies the tag port too *)
+  sm.l1_port_free <- max now sm.l1_port_free + 1;
+  Cache.access_write sm.l1 line_addr;
   Cache.access_write ctx.l2 line_addr;
   let start = max now !(ctx.l2_free) in
   ctx.l2_free := start + ctx.arch.l2_service;
@@ -707,7 +704,7 @@ let step ctx (sm : sm) (warp : warp) =
         | _ ->
           let a = dev_int df frame (first_lane active) addr in
           raise (Devmem.Fault { addr = a; size = width; msg = "unsupported access width" }));
-        let cache_l1 = (not cg) && ctx.l1_enabled in
+        let cache_l1 = not cg in
         (* bypassed loads move 32 B sectors, not full L1 lines *)
         let granularity = if cache_l1 then arch.line_size else min 32 arch.line_size in
         let nlines =

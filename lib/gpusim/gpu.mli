@@ -28,14 +28,6 @@ type result = {
   warps_per_cta : int;
 }
 
-(** Event-queue driving a launch.  [Exact_heap] (the default) is
-    authoritative: golden metrics depend on its pop order down to
-    arrangement-dependent tie-breaks among equal timestamps.
-    [Calendar] uses the bucketed calendar queue ({!Calq}): same key
-    order, FIFO ties, so cycle counts may differ slightly while
-    functional results are identical. *)
-type sched = Exact_heap | Calendar
-
 val launch_overhead : int
 
 (** {2 Per-warp runaway guard}
@@ -94,8 +86,8 @@ val poll_cancel : unit -> unit
 val occupancy_limit : Arch.t -> warps_per_cta:int -> shared_bytes:int -> int
 
 (** Launch [kernel] from [prog] over [grid] x [block] threads.  [sink]
-    receives instrumentation hook events; [l1_enabled:false] disables
-    L1 caching of global loads (Kepler's default for real hardware).
+    receives instrumentation hook events.  Loads bypass L1 only where
+    the program says so ([ld.cg], e.g. after {!Ptx.Bypass.rewrite_prog}).
     [bankmodel:true] opts into charging shared-memory bank-conflict
     replays as issue cycles (conflict *counting* runs whenever a sink
     is attached; with the model off, timing is bit-identical to the
@@ -104,8 +96,6 @@ val occupancy_limit : Arch.t -> warps_per_cta:int -> shared_bytes:int -> int
     runtime faults inside the kernel. *)
 val launch :
   ?sink:Hookev.sink ->
-  ?l1_enabled:bool ->
-  ?sched:sched ->
   ?bankmodel:bool ->
   device ->
   prog:Ptx.Isa.prog ->

@@ -68,8 +68,6 @@ let pop t =
     match v with Some v -> Some (key, v) | None -> assert false
   end
 
-let min_key t = if t.size = 0 then max_int else t.keys.(0)
-
 (* Would [push t k v; pop t] return [k] and leave the arrays arranged
    exactly as they are now?  The event loop uses this to keep stepping
    the warp it just popped without touching the heap; because it only

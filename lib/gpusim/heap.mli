@@ -11,9 +11,6 @@ val push : 'a t -> int -> 'a -> unit
 (** Pop the minimum-key element. *)
 val pop : 'a t -> (int * 'a) option
 
-(** Minimum key currently in the heap; [max_int] when empty. *)
-val min_key : 'a t -> int
-
 (** [run_ahead_ok t k] is [true] iff [push t k v] immediately followed
     by [pop t] would return [(k, v)] and leave the heap's internal
     arrangement bit-identical to its current state.  Read-only and

@@ -12,7 +12,6 @@ type t = {
   hostmem : Gpusim.Devmem.t; (* flat host address space *)
   mutable shadow : Profiler.Records.host_frame list; (* top first *)
   mutable launches : (string * Gpusim.Gpu.result) list; (* reversed *)
-  l1_enabled : bool;
   bankmodel : bool; (* charge shared-memory bank-conflict replays *)
   block_x_override : int option;
       (* tuning knob: force this CTA width on every launch, rescaling
@@ -26,8 +25,7 @@ let m_dev_allocs = Obs.Metrics.counter "host.cuda_mallocs"
 let m_h2d_bytes = Obs.Metrics.counter "host.memcpy.h2d_bytes"
 let m_d2h_bytes = Obs.Metrics.counter "host.memcpy.d2h_bytes"
 
-let create ?profiler ?(l1_enabled = true) ?(bankmodel = false)
-    ?block_x_override ~arch ~prog () =
+let create ?profiler ?(bankmodel = false) ?block_x_override ~arch ~prog () =
   (match block_x_override with
   | Some bx when bx <= 0 -> invalid_arg "Host.create: block_x_override must be > 0"
   | _ -> ());
@@ -38,7 +36,6 @@ let create ?profiler ?(l1_enabled = true) ?(bankmodel = false)
     hostmem = Gpusim.Devmem.create ();
     shadow = [];
     launches = [];
-    l1_enabled;
     bankmodel;
     block_x_override;
   }
@@ -123,14 +120,14 @@ let launch_kernel ?prog t ~kernel ~grid ~block ~args =
         Profiler.Profile.begin_instance p ~kernel ~host_path:(call_path t)
       in
       let r =
-        Gpusim.Gpu.launch ~sink ~l1_enabled:t.l1_enabled
-          ~bankmodel:t.bankmodel t.device ~prog ~kernel ~grid ~block ~args ()
+        Gpusim.Gpu.launch ~sink ~bankmodel:t.bankmodel t.device ~prog ~kernel
+          ~grid ~block ~args ()
       in
       Profiler.Profile.finish_instance instance r;
       r
     | None ->
-      Gpusim.Gpu.launch ~l1_enabled:t.l1_enabled ~bankmodel:t.bankmodel
-        t.device ~prog ~kernel ~grid ~block ~args ()
+      Gpusim.Gpu.launch ~bankmodel:t.bankmodel t.device ~prog ~kernel ~grid
+        ~block ~args ()
   in
   t.launches <- (kernel, result) :: t.launches;
   result

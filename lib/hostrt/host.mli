@@ -20,7 +20,6 @@ type t
     non-positive override. *)
 val create :
   ?profiler:Profiler.Profile.t ->
-  ?l1_enabled:bool ->
   ?bankmodel:bool ->
   ?block_x_override:int ->
   arch:Gpusim.Arch.t ->

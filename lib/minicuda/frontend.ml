@@ -23,8 +23,6 @@ let compile ~file src : Bitc.Irmod.t =
   | Lower.Error msg -> reraise ~line:0 ~col:0 ("lowering error: " ^ msg)
   | Bitc.Verify.Invalid msg -> reraise ~line:0 ~col:0 ("verifier error: " ^ msg)
 
-let compile_exn = compile
-
 let compile_result ~file src =
   match compile ~file src with
   | m -> Ok m

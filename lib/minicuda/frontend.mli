@@ -12,7 +12,5 @@ val error_to_string : error -> string
     a source position on any failure. *)
 val compile : file:string -> string -> Bitc.Irmod.t
 
-val compile_exn : file:string -> string -> Bitc.Irmod.t
-
 (** Like {!compile} but returning a printable error instead of raising. *)
 val compile_result : file:string -> string -> (Bitc.Irmod.t, string) result

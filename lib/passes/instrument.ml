@@ -36,9 +36,6 @@ let control_flow_only =
 let nothing =
   { memory = false; control_flow = false; arithmetic = false; sharing = false }
 
-let sharing_only =
-  { memory = false; control_flow = false; arithmetic = false; sharing = true }
-
 type result = { manifest : Manifest.t }
 
 let hook_call ~callee ~args ~loc =
@@ -251,6 +248,3 @@ let run ?(options = all) (m : Bitc.Irmod.t) : result =
   | Ok () -> ()
   | Error msg -> raise (Pass.Pass_error { pass = "instrument"; msg }));
   { manifest }
-
-let as_pass ?(options = all) ~into () =
-  Pass.make ~name:"instrument" (fun m -> into := Some (run ~options m))

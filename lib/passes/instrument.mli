@@ -25,16 +25,9 @@ val control_flow_only : options
 (** No optional instrumentation — only the mandatory call hooks. *)
 val nothing : options
 
-(** Only the correctness-checking hooks (plus the mandatory call hooks). *)
-val sharing_only : options
-
 type result = { manifest : Manifest.t }
 
 (** Instrument all kernels and device functions of the module in place;
     returns the manifest mapping hook ids back to source entities.  The
     instrumented module is re-verified.  Run at most once per module. *)
 val run : ?options:options -> Bitc.Irmod.t -> result
-
-(** The engine packaged as a pass for {!Pass.run_all}; the result is
-    delivered through [into]. *)
-val as_pass : ?options:options -> into:result option ref -> unit -> Pass.t

@@ -76,4 +76,3 @@ let barrier t id =
 
 let num_blocks t = t.next_block
 let num_callsites t = t.next_callsite
-let num_barriers t = t.next_barrier

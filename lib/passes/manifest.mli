@@ -40,4 +40,3 @@ val block : t -> int -> block_info
 val barrier : t -> int -> barrier_info
 val num_blocks : t -> int
 val num_callsites : t -> int
-val num_barriers : t -> int

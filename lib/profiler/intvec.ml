@@ -30,10 +30,6 @@ let[@inline] push t v =
 
 let clear t = t.len <- 0
 
-(* The backing store, valid in [0, length).  Exposed so single-pass
-   consumers can index without a bounds-checked closure per element. *)
-let unsafe_data t = t.data
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f t.data.(i)
@@ -45,5 +41,3 @@ let fold t ~init ~f =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let to_array t = Array.sub t.data 0 t.len

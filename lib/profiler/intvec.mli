@@ -10,11 +10,5 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 val push : t -> int -> unit
 val clear : t -> unit
-
-(** The backing store; indices [0, length) are valid.  Invalidated by
-    the next [push] that grows the vector. *)
-val unsafe_data : t -> int array
-
 val iter : t -> (int -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-val to_array : t -> int array

@@ -204,7 +204,6 @@ let instances t =
     t.instances_fwd <- Some l;
     l
 
-let instances_of t kernel = List.filter (fun i -> i.kernel = kernel) (instances t)
 let allocations t = List.rev t.allocs
 let transfers t = List.rev t.transfers
 

@@ -77,7 +77,6 @@ val finish_instance : instance -> Gpusim.Gpu.result -> unit
 (** {2 Accessors} *)
 
 val instances : t -> instance list
-val instances_of : t -> string -> instance list
 val allocations : t -> Records.alloc list
 val transfers : t -> Records.transfer list
 

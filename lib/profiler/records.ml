@@ -32,8 +32,6 @@ type transfer = {
 
 let frame_to_string f = Printf.sprintf "%s():: %s: %d" f.frame_func f.frame_file f.frame_line
 
-let side_to_string = function Host_side -> "host" | Device_side -> "device"
-
 let direction_to_string = function
   | Host_to_device -> "cudaMemcpyHostToDevice"
   | Device_to_host -> "cudaMemcpyDeviceToHost"

@@ -31,7 +31,6 @@ type transfer = {
 }
 
 val frame_to_string : host_frame -> string
-val side_to_string : side -> string
 val direction_to_string : direction -> string
 
 (** Does [addr] fall inside the allocation? *)

@@ -178,12 +178,6 @@ let[@inline] addr t i j = t.addr_arena.(t.off_col.(i) + j)
 (* The arena itself, for batch consumers (coalescing over a slice). *)
 let addr_arena t = t.addr_arena
 
-let iter_accesses t i f =
-  let off = t.off_col.(i) and n = t.nacc_col.(i) in
-  for j = 0 to n - 1 do
-    f ~lane:(Char.code (Bytes.unsafe_get t.lane_arena (off + j))) ~addr:t.addr_arena.(off + j)
-  done
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f i

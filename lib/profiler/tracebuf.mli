@@ -43,8 +43,6 @@ val addr : t -> int -> int -> int
     addresses.  Invalidated by the next [push] that grows the arena. *)
 val addr_arena : t -> int array
 
-val iter_accesses : t -> int -> (lane:int -> addr:int -> unit) -> unit
-
 (** {2 Interning tables} *)
 
 (** Number of distinct source locations seen. *)

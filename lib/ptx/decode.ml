@@ -9,13 +9,9 @@
    register-file accesses. *)
 
 (* Cache hit/miss counts live in the Obs metrics registry
-   ("ptx.decode_cache.*"); [cache_stats] remains as the legacy
-   accessor over the same counters. *)
+   ("ptx.decode_cache.*"). *)
 let cache_hits = Obs.Metrics.counter "ptx.decode_cache.hits"
 let cache_misses = Obs.Metrics.counter "ptx.decode_cache.misses"
-
-let cache_stats () =
-  (Obs.Metrics.counter_value cache_hits, Obs.Metrics.counter_value cache_misses)
 
 let bad_reg fname r nregs =
   invalid_arg

@@ -21,16 +21,6 @@
 module Json = Analysis.Json
 module Jsonv = Obs.Jsonv
 
-(* One kernel variant of an evaluate batch: an optional source
-   replacement plus the two non-source knobs.  All fields optional —
-   an empty object is the app's pristine kernel. *)
-type variant = {
-  v_name : string option; (* stable id; defaults to "v<index>" *)
-  v_source : string option;
-  v_block_x : int option;
-  v_bypass_warps : int option;
-}
-
 type request = {
   id : Json.t; (* echoed verbatim; [Json.Null] when absent *)
   op : string;
@@ -44,7 +34,7 @@ type request = {
   bankmodel : bool option; (* profile op: charge bank-conflict replays *)
   out : string option; (* trace op: Chrome-trace output path *)
   ms : int option; (* sleep op *)
-  variants : variant list option; (* evaluate op: the batch *)
+  variants : Tune.Evaluate.spec list option; (* evaluate op: the batch *)
   baseline : string option; (* evaluate op: baseline variant name *)
   trace_id : string option; (* distributed-trace id, propagated downstream *)
   parent_span : string option; (* caller's span name, for cross-process links *)
@@ -86,21 +76,28 @@ let bool_field obj name =
   | Some (Jsonv.Bool b) -> Ok (Some b)
   | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
 
-(* "variants": an array of objects, each with optional name / source /
-   block_x / bypass_warps.  Parsing stays purely structural here;
-   semantic limits (batch size, unique names, baseline membership) are
-   the router's validation. *)
+(* Element [i] of a "variants" array: an object with optional name /
+   source / block_x / bypass_warps, read straight into the tuning
+   engine's spec.  An empty object is the app's pristine kernel, named
+   "v<i>".  Errors name the element and the field.  Parsing stays
+   purely structural; value limits, unique names and the baseline are
+   {!Tune.Evaluate.check_plan}'s. *)
+let variant_at i v =
+  let at r = Result.map_error (Printf.sprintf "variants[%d]: %s" i) r in
+  match v with
+  | Jsonv.Obj _ ->
+    let* name = at (str_field v "name") in
+    let* sp_source = at (str_field v "source") in
+    let* sp_block_x = at (int_field v "block_x") in
+    let* sp_bypass_warps = at (int_field v "bypass_warps") in
+    Ok
+      { Tune.Evaluate.sp_name = Option.value name ~default:(Printf.sprintf "v%d" i);
+        sp_source;
+        sp_block_x;
+        sp_bypass_warps }
+  | _ -> Error (Printf.sprintf "variants[%d] must be a JSON object" i)
+
 let variants_field obj =
-  let variant_at i v =
-    match v with
-    | Jsonv.Obj _ ->
-      let* v_name = str_field v "name" in
-      let* v_source = str_field v "source" in
-      let* v_block_x = int_field v "block_x" in
-      let* v_bypass_warps = int_field v "bypass_warps" in
-      Ok { v_name; v_source; v_block_x; v_bypass_warps }
-    | _ -> Error (Printf.sprintf "variants[%d] must be a JSON object" i)
-  in
   match Jsonv.member "variants" obj with
   | None | Some Jsonv.Null -> Ok None
   | Some (Jsonv.Arr items) ->

@@ -89,10 +89,9 @@ let validate_bankmodel (r : Protocol.request) : (unit, string * string) result =
         ( "bad_request",
           "field \"bankmodel\" only applies to the exact profile tier" )
 
-(* An evaluate batch resolved to the tournament engine's variant
-   specs: names defaulted positionally ("v<index>") so every variant
-   has a stable id, baseline defaulted to the first variant.  Shared
-   by validation and dispatch so they cannot disagree. *)
+(* An evaluate batch checked by {!Tune.Evaluate.check_plan}, with its
+   baseline resolved.  Shared by validation and dispatch so they cannot
+   disagree; the batch-size cap is the daemon's own. *)
 let max_batch_variants = 64
 
 let evaluate_plan (r : Protocol.request) :
@@ -101,56 +100,14 @@ let evaluate_plan (r : Protocol.request) :
   match r.variants with
   | None | Some [] ->
     bad "op \"evaluate\" needs a non-empty \"variants\" array"
-  | Some vs when List.length vs > max_batch_variants ->
+  | Some specs when List.length specs > max_batch_variants ->
     bad
-      (Printf.sprintf "too many variants (%d, max %d)" (List.length vs)
+      (Printf.sprintf "too many variants (%d, max %d)" (List.length specs)
          max_batch_variants)
-  | Some vs -> (
-    let specs =
-      List.mapi
-        (fun i (v : Protocol.variant) ->
-          { Tune.Evaluate.sp_name =
-              Option.value v.Protocol.v_name ~default:(Printf.sprintf "v%d" i);
-            sp_source = v.Protocol.v_source;
-            sp_block_x = v.Protocol.v_block_x;
-            sp_bypass_warps = v.Protocol.v_bypass_warps })
-        vs
-    in
-    let bad_knob =
-      List.find_map
-        (fun (s : Tune.Evaluate.spec) ->
-          match (s.sp_block_x, s.sp_bypass_warps) with
-          | Some bx, _ when bx <= 0 ->
-            Some
-              (Printf.sprintf "variant %S: \"block_x\" must be positive"
-                 s.sp_name)
-          | _, Some bw when bw < 0 ->
-            Some
-              (Printf.sprintf "variant %S: \"bypass_warps\" must be >= 0"
-                 s.sp_name)
-          | _ -> None)
-        specs
-    in
-    match bad_knob with
-    | Some msg -> bad msg
-    | None -> (
-      let names = List.map (fun (s : Tune.Evaluate.spec) -> s.sp_name) specs in
-      let dup =
-        List.find_map
-          (fun n ->
-            if List.length (List.filter (String.equal n) names) > 1 then Some n
-            else None)
-          names
-      in
-      match dup with
-      | Some n -> bad (Printf.sprintf "duplicate variant name %S" n)
-      | None -> (
-        let baseline = Option.value r.baseline ~default:(List.hd names) in
-        if List.mem baseline names then Ok (specs, baseline)
-        else
-          bad
-            (Printf.sprintf "baseline %S does not name a submitted variant"
-               baseline))))
+  | Some specs -> (
+    match Tune.Evaluate.check_plan ?baseline:r.baseline specs with
+    | Ok baseline -> Ok (specs, baseline)
+    | Error msg -> bad msg)
 
 (* Cheap pre-enqueue validation: op known, tier sensible, app/arch
    resolvable.  The expensive work happens later on a worker domain. *)
@@ -247,7 +204,7 @@ let compile (r : Protocol.request) =
       (fun (name, f) -> if f.Ptx.Isa.is_kernel then Some (Json.String name) else None)
       compiled.Advisor.prog.Ptx.Isa.funcs
   in
-  let hits, misses = Advisor.compile_cache_stats () in
+  let count name = Json.Int Obs.Metrics.(counter_value (counter name)) in
   Ok
     (Json.Obj
        [ ("app", Json.String w.Workloads.Common.name);
@@ -255,7 +212,9 @@ let compile (r : Protocol.request) =
          ("kernels", Json.List kernels);
          ("instrumented", Json.Bool (compiled.Advisor.manifest <> None));
          ( "compile_cache",
-           Json.Obj [ ("hits", Json.Int hits); ("misses", Json.Int misses) ] ) ])
+           Json.Obj
+             [ ("hits", count "advisor.compile_cache.hits");
+               ("misses", count "advisor.compile_cache.misses") ] ) ])
 
 let profile (r : Protocol.request) =
   let ( let* ) = Result.bind in

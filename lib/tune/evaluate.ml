@@ -35,6 +35,36 @@ type spec = {
 let baseline_spec =
   { sp_name = "base"; sp_source = None; sp_block_x = None; sp_bypass_warps = None }
 
+(* Validate a batch before anything compiles or runs: knobs in range,
+   names unique, and [baseline] (default: the first variant) naming one
+   of them.  Returns the baseline.  Every front end (the serve
+   [evaluate] op and all of the CLI's plan sources) goes through here,
+   so none can launch a variant another would have rejected. *)
+let check_plan ?baseline specs =
+  let knob_error s =
+    let bad field what v =
+      Some (Printf.sprintf "variant %S: field %S must be %s (got %d)" s.sp_name field what v)
+    in
+    match (s.sp_block_x, s.sp_bypass_warps) with
+    | Some bx, _ when bx <= 0 -> bad "block_x" "positive" bx
+    | _, Some bw when bw < 0 -> bad "bypass_warps" ">= 0" bw
+    | _ -> None
+  in
+  let names = List.map (fun s -> s.sp_name) specs in
+  let duplicate n = List.length (List.filter (String.equal n) names) > 1 in
+  match (List.find_map knob_error specs, List.find_opt duplicate names) with
+  | Some msg, _ -> Error msg
+  | None, Some n -> Error (Printf.sprintf "duplicate variant name %S" n)
+  | None, None -> (
+    match (baseline, names) with
+    | None, [] -> Error "no variants to evaluate"
+    | None, first :: _ -> Ok first
+    | Some b, _ when List.mem b names -> Ok b
+    | Some b, _ ->
+      Error
+        (Printf.sprintf "baseline %S does not name a variant (have: %s)" b
+           (String.concat ", " names)))
+
 let resolved_source (w : Workloads.Common.t) spec =
   Option.value spec.sp_source ~default:w.Workloads.Common.source
 

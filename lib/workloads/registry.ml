@@ -47,8 +47,6 @@ let stress : Common.t list =
     all
 
 let names = List.map (fun (w : Common.t) -> w.name) all
-let seeded_names = List.map (fun (w : Common.t) -> w.name) seeded
-let stress_names = List.map (fun (w : Common.t) -> w.name) stress
 let micro_names = List.map (fun (w : Common.t) -> w.name) micro
 let find name = Common.find (all @ seeded @ stress @ micro) name
 

@@ -96,10 +96,11 @@ let test_bypass_parallel_deterministic () =
 
 let test_compile_cache_hits () =
   let src = "__global__ void memo(float* a) { a[threadIdx.x] = 3.0f; }" in
+  let hits () = Obs.Metrics.(counter_value (counter "advisor.compile_cache.hits")) in
   let c1 = Advisor.compile_source ~file:"memo.cu" src in
-  let hits0, _ = Advisor.compile_cache_stats () in
+  let hits0 = hits () in
   let c2 = Advisor.compile_source ~file:"memo.cu" src in
-  let hits1, _ = Advisor.compile_cache_stats () in
+  let hits1 = hits () in
   check "same compiled value returned" true (c1 == c2);
   check "hit counted" true (hits1 = hits0 + 1);
   (* a different instrumentation selection is a different cache entry *)

@@ -10,10 +10,9 @@
    for nn and bfs, native and profiled, to the values of the original
    one-instruction-per-pop heap loop.
 
-   The second half checks the calendar-queue scheduler ([Calq]): it
-   must dequeue in exactly the same *key* order as the heap (ties may
-   reorder payloads), and launches driven by it must be functionally
-   identical to the default scheduler. *)
+   The second half checks the superstep's shortcut on its own:
+   skipping a push+pop pair that [Gpusim.Heap.run_ahead_ok] allows must
+   leave every later pop, ties included, exactly as it was. *)
 
 let check_int = Alcotest.(check int)
 
@@ -105,125 +104,64 @@ let test_bfs_profiled_total () =
   in
   check_int "bfs profiled total kernel cycles" 5488491 total
 
-(* ----- calendar queue vs heap ----- *)
+(* ----- the superstep's run-ahead check -----
 
-(* Near-monotonic random streams shaped like the event loop's: keys
-   wander forward with occasional far-future spikes (out-of-window ->
-   heap fallback) and pops interleaved with pushes. *)
-let ops_gen =
+   Replays the launch loop's use of the heap: pop the earliest warp,
+   advance its key, and keep stepping it while [run_ahead_ok] allows
+   skipping the requeue; a warp that leaves (barrier, exit) may let a
+   fresh one become ready.  Keys start small so ties are common.  A
+   twin heap really performs every skipped push+pop; with unique
+   payloads, a skip that would have rearranged the heap shows up as a
+   differing pop, now or at the final drain. *)
+
+let superstep_gen =
   QCheck2.Gen.(
-    list_size (int_range 1 400)
-      (oneof
-         [
-           (* push with a small forward delta *)
-           map (fun d -> `Push d) (int_range 0 300);
-           (* push far ahead of the window *)
-           map (fun d -> `Push d) (int_range 3000 100_000);
-           return `Pop;
-         ]))
+    pair
+      (list_size (int_range 1 64) (int_range 0 24))
+      (list_size (int_range 1 300)
+         (frequency
+            [ (12, map (fun d -> `Step d) (int_range 0 6));
+              (1, return `Leave);
+              (2, map (fun d -> `Spawn d) (int_range 0 6)) ])))
 
-let run_stream ops =
-  let h = Gpusim.Heap.create () in
-  let q = Gpusim.Calq.create ~window:2048 () in
-  let heap_keys = ref [] and calq_keys = ref [] in
-  let base = ref 0 in
+let superstep_replay (init, ops) =
+  let module H = Gpusim.Heap in
+  let fast = H.create () and twin = H.create () in
+  let fast_pops = ref [] and twin_pops = ref [] in
+  let log pops p = pops := p :: !pops in
+  let push k v = H.push fast k v; H.push twin k v in
+  let payloads = ref 0 in
+  let spawn k = push k !payloads; incr payloads in
+  (* the warp being stepped, and the key it last ran at *)
+  let running = ref None and now = ref 0 in
+  let run ((k, _) as p) = log fast_pops p; running := Some p; now := k in
+  let take () =
+    running := None;
+    Option.iter run (H.pop fast);
+    Option.iter (log twin_pops) (H.pop twin)
+  in
+  List.iter spawn init;
+  take ();
   List.iter
     (fun op ->
-      match op with
-      | `Push d ->
-        let key = !base + d in
-        (* drift the base like advancing simulation time *)
-        if d < 300 then base := !base + (d / 8);
-        Gpusim.Heap.push h key key;
-        Gpusim.Calq.push q key key
-      | `Pop -> (
-        match (Gpusim.Heap.pop h, Gpusim.Calq.pop q) with
-        | Some (hk, _), Some (qk, _) ->
-          heap_keys := hk :: !heap_keys;
-          calq_keys := qk :: !calq_keys
-        | None, None -> ()
-        | _ -> Alcotest.fail "heap and calq disagree on emptiness"))
+      match (op, !running) with
+      | `Step d, Some (k, v) when H.run_ahead_ok fast (k + d) ->
+        run (k + d, v);
+        H.push twin (k + d) v;
+        Option.iter (log twin_pops) (H.pop twin)
+      | `Step d, Some (k, v) -> push (k + d) v; take ()
+      | `Step _, None -> ()
+      | `Leave, _ -> take ()
+      | `Spawn d, _ -> spawn (!now + d); take ())
     ops;
-  (* drain both *)
-  let rec drain () =
-    match (Gpusim.Heap.pop h, Gpusim.Calq.pop q) with
-    | Some (hk, _), Some (qk, _) ->
-      heap_keys := hk :: !heap_keys;
-      calq_keys := qk :: !calq_keys;
-      drain ()
-    | None, None -> ()
-    | _ -> Alcotest.fail "heap and calq disagree on emptiness"
-  in
-  drain ();
-  (List.rev !heap_keys, List.rev !calq_keys)
+  let rec drain h pops = Option.iter (fun p -> log pops p; drain h pops) (H.pop h) in
+  drain fast fast_pops;
+  drain twin twin_pops;
+  !fast_pops = !twin_pops
 
-let qcheck_calq_heap_key_order =
-  QCheck2.Test.make ~name:"calendar queue pops the heap's key order" ~count:200
-    ops_gen
-    (fun ops ->
-      let hk, qk = run_stream ops in
-      hk = qk)
-
-let qcheck_calq_run_ahead =
-  QCheck2.Test.make
-    ~name:"calq run_ahead_ok implies push+pop is an identity" ~count:200 ops_gen
-    (fun ops ->
-      let q = Gpusim.Calq.create ~window:2048 () in
-      let ok = ref true in
-      let base = ref 0 in
-      List.iter
-        (fun op ->
-          match op with
-          | `Push d ->
-            let key = !base + d in
-            if d < 300 then base := !base + (d / 8);
-            if Gpusim.Calq.run_ahead_ok q key then begin
-              (* the contract: the element would come straight back *)
-              Gpusim.Calq.push q key (-key - 1);
-              match Gpusim.Calq.pop q with
-              | Some (k, v) when k = key && v = -key - 1 -> ()
-              | _ -> ok := false
-            end
-            else Gpusim.Calq.push q key key
-          | `Pop -> ignore (Gpusim.Calq.pop q))
-        ops;
-      !ok)
-
-(* A launch driven by the calendar queue must compute the same values
-   (tie order may shift cycles, never results). *)
-let test_calendar_launch_functional () =
-  let src =
-    {|
-__global__ void k(int* out, float* f, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) {
-    float s = 0.0f;
-    for (int j = 0; j < 8; j = j + 1) { s = s + f[(i + j) % n]; }
-    if (i % 3 == 0) { s = s * 2.0f; }
-    out[i] = i + (int)(s);
-  }
-}
-|}
-  in
-  let run sched =
-    let m = Minicuda.Frontend.compile ~file:"t.cu" src in
-    let prog = Ptx.Codegen.gen_module m in
-    let dev = Gpusim.Gpu.create_device (arch ()) in
-    let n = 500 in
-    let out = Gpusim.Devmem.malloc dev.devmem (4 * n) in
-    let f = Gpusim.Devmem.malloc dev.devmem (4 * n) in
-    Gpusim.Devmem.write_f32_array dev.devmem f
-      (Array.init n (fun i -> float_of_int (i mod 17) *. 0.5));
-    let r =
-      Gpusim.Gpu.launch ~sched dev ~prog ~kernel:"k" ~grid:(4, 1) ~block:(128, 1)
-        ~args:[ Gpusim.Value.I out; Gpusim.Value.I f; Gpusim.Value.I n ] ()
-    in
-    (Gpusim.Devmem.read_i32_array dev.devmem out n, r.stats.Gpusim.Stats.thread_insts)
-  in
-  let exact, exact_insts = run Gpusim.Gpu.Exact_heap in
-  let cal, cal_insts = run Gpusim.Gpu.Calendar in
-  Alcotest.(check (array int)) "same output values" exact cal;
-  check_int "same thread instructions" exact_insts cal_insts
+let qcheck_superstep_skips_invisible =
+  QCheck2.Test.make ~name:"run-ahead skips leave every pop unchanged" ~count:500
+    superstep_gen superstep_replay
 
 let () =
   Alcotest.run "determinism"
@@ -235,11 +173,6 @@ let () =
           Alcotest.test_case "bfs native" `Quick test_bfs_native;
           Alcotest.test_case "bfs profiled total" `Quick test_bfs_profiled_total;
         ] );
-      ( "schedulers",
-        [
-          QCheck_alcotest.to_alcotest qcheck_calq_heap_key_order;
-          QCheck_alcotest.to_alcotest qcheck_calq_run_ahead;
-          Alcotest.test_case "calendar launch functional" `Quick
-            test_calendar_launch_functional;
-        ] );
+      ( "superstep",
+        [ QCheck_alcotest.to_alcotest qcheck_superstep_skips_invisible ] );
     ]

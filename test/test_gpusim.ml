@@ -350,18 +350,21 @@ let test_l1_disabled_more_l2_traffic () =
   let src =
     "__global__ void k(float* a) { float s = 0.0f; for (int i = 0; i < 64; i = i + 1) { s = s + a[threadIdx.x]; } a[threadIdx.x] = s; }"
   in
-  let run l1_enabled =
+  let run ~l1 =
     let m = Minicuda.Frontend.compile ~file:"t.cu" src in
     let prog = Ptx.Codegen.gen_module m in
+    (* L1 off the paper's way (Listing 5): no warp caches, so every
+       global load becomes ld.cg *)
+    let prog = if l1 then prog else Advisor.rewrite_all_kernels prog ~warps_to_cache:0 in
     let dev = Gpusim.Gpu.create_device (Gpusim.Arch.kepler_k40c ()) in
     let d = Gpusim.Devmem.malloc dev.devmem (4 * 32) in
     let r =
-      Gpusim.Gpu.launch ~l1_enabled dev ~prog ~kernel:"k" ~grid:(1, 1) ~block:(32, 1)
+      Gpusim.Gpu.launch dev ~prog ~kernel:"k" ~grid:(1, 1) ~block:(32, 1)
         ~args:[ Gpusim.Value.I d ] ()
     in
     r.l2_stats.reads
   in
-  check "disabling L1 sends reads to L2" true (run false > run true)
+  check "disabling L1 sends reads to L2" true (run ~l1:false > run ~l1:true)
 
 
 let test_math_intrinsics () =

@@ -1289,13 +1289,19 @@ let gen_source ~tag n =
   done;
   Buffer.contents b
 
+let compile_counter name =
+  let c = Obs.Metrics.counter ("advisor.compile_cache." ^ name) in
+  fun () -> Obs.Metrics.counter_value c
+
+let compile_misses = compile_counter "misses"
+
 (* Deterministic overlap proof: misses are counted when a compile
    *claims* its key (before the work), so once the big compile's miss
    is visible it holds no lock — under the old whole-cache lock the
    small compile below would block behind it and [big_done] would
    already be true when it returned. *)
 let test_cold_compiles_overlap () =
-  let _, m0 = Advisor.compile_cache_stats () in
+  let m0 = compile_misses () in
   let big_done = Atomic.make false in
   let big =
     Domain.spawn (fun () ->
@@ -1306,14 +1312,10 @@ let test_cold_compiles_overlap () =
         List.length c.Advisor.prog.Ptx.Isa.funcs)
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
-  while
-    snd (Advisor.compile_cache_stats ()) < m0 + 1
-    && Unix.gettimeofday () < deadline
-  do
+  while compile_misses () < m0 + 1 && Unix.gettimeofday () < deadline do
     Domain.cpu_relax ()
   done;
-  check_int "big compile claimed its key" (m0 + 1)
-    (snd (Advisor.compile_cache_stats ()));
+  check_int "big compile claimed its key" (m0 + 1) (compile_misses ());
   let small =
     Advisor.compile_source ~file:"overlap-small.cu" (gen_source ~tag:"small" 40)
   in
@@ -1322,12 +1324,13 @@ let test_cold_compiles_overlap () =
     (List.length small.Advisor.prog.Ptx.Isa.funcs);
   check_int "big compile finished" 3000 (Domain.join big);
   check_bool "distinct cold compiles ran concurrently" true overlapped;
-  check_int "two misses total" (m0 + 2) (snd (Advisor.compile_cache_stats ()))
+  check_int "two misses total" (m0 + 2) (compile_misses ())
 
 (* Duplicate keys still compile exactly once: the loser waits for the
    winner's slot instead of redoing (or corrupting) the work. *)
 let test_same_key_compiles_once () =
-  let h0, m0 = Advisor.compile_cache_stats () in
+  let hits = compile_counter "hits" in
+  let h0 = hits () and m0 = compile_misses () in
   let src = gen_source ~tag:"dup" 500 in
   let compile () = Advisor.compile_source ~file:"dup.cu" src in
   let results = Pool.map ~domains:4 (fun _ -> compile ()) [ 1; 2; 3; 4 ] in
@@ -1335,7 +1338,7 @@ let test_same_key_compiles_once () =
   List.iter
     (fun c -> check_bool "all callers share one compiled value" true (c == first))
     results;
-  let h1, m1 = Advisor.compile_cache_stats () in
+  let h1 = hits () and m1 = compile_misses () in
   check_int "exactly one miss" (m0 + 1) m1;
   check_bool "the rest hit the cache or waited" true (h1 - h0 <= 3)
 

@@ -1,8 +1,9 @@
 (* The tuning layer behind `advisor evaluate`: the conservative source
    unroller (text-level behavior plus semantic equivalence under the
    profiler), the block_x launch override, variant cache identity,
-   ranking invariance under submission order (QCheck), and the sweep's
-   generated variant sets. *)
+   ranking invariance under submission order (QCheck), plan validation
+   shared by the CLI and the daemon, and the sweep's generated variant
+   sets. *)
 
 module Json = Analysis.Json
 module Jsonv = Obs.Jsonv
@@ -253,6 +254,71 @@ let test_batch_compile_failure_isolated () =
     check_string "broken variant isolated" "compile_failed"
       (status_of "broken")
 
+(* ----- plan validation: one check for every front end ----- *)
+
+let check_mentions what msg =
+  List.iter (fun needle ->
+      check_bool (Printf.sprintf "%s: %S names %S" what msg needle) true
+        (Testutil.contains msg needle))
+
+let test_check_plan () =
+  let spec ?block_x ?bypass name =
+    { Evaluate.baseline_spec with
+      sp_name = name;
+      sp_block_x = block_x;
+      sp_bypass_warps = bypass }
+  in
+  let plan = Alcotest.(check (result string string)) in
+  plan "baseline defaults to the first variant" (Ok "a")
+    (Evaluate.check_plan [ spec "a"; spec ~bypass:0 ~block_x:128 "b" ]);
+  plan "explicit baseline" (Ok "b") (Evaluate.check_plan ~baseline:"b" [ spec "a"; spec "b" ]);
+  let rejects what ?baseline specs needles =
+    match Evaluate.check_plan ?baseline specs with
+    | Ok b -> Alcotest.failf "%s: accepted with baseline %S" what b
+    | Error msg -> check_mentions what msg needles
+  in
+  rejects "zero block_x" [ spec "a"; spec ~block_x:0 "zero" ] [ {|"zero"|}; "block_x" ];
+  rejects "negative bypass_warps" [ spec ~bypass:(-3) "neg" ] [ {|"neg"|}; "bypass_warps" ];
+  rejects "duplicate names" [ spec "a"; spec "b"; spec "a" ] [ "duplicate"; {|"a"|} ];
+  rejects "unknown baseline" ~baseline:"zz" [ spec "a" ] [ {|"zz"|} ];
+  rejects "empty batch" [] [ "no variants" ];
+  (* manifests and served batches share the protocol's typed readers *)
+  match Jsonv.parse {|{"variants": [{}, {"name": "big", "block_x": "512"}]}|} with
+  | Ok doc ->
+    Alcotest.(check (result reject string))
+      "a wrongly typed field names its element and itself"
+      (Error {|variants[1]: field "block_x" must be an integer|})
+      (Result.map ignore (Serve.Protocol.variants_field doc))
+  | Error m -> Alcotest.fail m
+
+(* The CLI's --manifest source: a bad knob exits non-zero naming the
+   variant and the field, before anything runs (nothing on stdout). *)
+let test_cli_manifest_rejected_before_running () =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/advisor_cli.exe"
+  in
+  List.iter
+    (fun (what, variant, needles) ->
+      let manifest = Filename.temp_file "tune-manifest" ".json" in
+      Out_channel.with_open_bin manifest (fun oc ->
+          Printf.fprintf oc {|{"variants": [{"name": "base"}, %s]}|} variant);
+      let args = [| cli; "evaluate"; "nn"; "--manifest"; manifest |] in
+      let ((out, _, err) as proc) =
+        Unix.open_process_args_full cli args (Unix.environment ())
+      in
+      let out = In_channel.input_all out in
+      let err = In_channel.input_all err in
+      let status = Unix.close_process_full proc in
+      Sys.remove manifest;
+      check_bool (what ^ ": non-zero exit") true (status <> Unix.WEXITED 0);
+      check_string (what ^ ": nothing ran") "" out;
+      check_mentions what err needles)
+    [ ("string block_x", {|{"name": "big", "block_x": "512"}|},
+       [ "variants[1]"; "block_x" ]);
+      ("negative bypass_warps", {|{"name": "neg", "bypass_warps": -3}|},
+       [ {|"neg"|}; "bypass_warps" ]);
+      ("zero block_x", {|{"name": "zero", "block_x": 0}|}, [ {|"zero"|}; "block_x" ]) ]
+
 (* ----- the sweep's generated variants ----- *)
 
 let test_sweep_specs () =
@@ -271,7 +337,10 @@ let test_sweep_specs () =
       check_bool
         (Printf.sprintf "%s: more than the baseline" w.Workloads.Common.name)
         true
-        (List.length specs > 1))
+        (List.length specs > 1);
+      Alcotest.(check (result string string))
+        (Printf.sprintf "%s: a valid plan" w.Workloads.Common.name)
+        (Ok Sweep.baseline_name) (Evaluate.check_plan specs))
     Workloads.Registry.all
 
 let () =
@@ -303,6 +372,13 @@ let () =
             test_ranking_failures_last;
           Alcotest.test_case "compile failure stays isolated" `Quick
             test_batch_compile_failure_isolated;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "knobs, names, baseline and field types" `Quick
+            test_check_plan;
+          Alcotest.test_case "CLI manifest rejected before running" `Quick
+            test_cli_manifest_rejected_before_running;
         ] );
       ( "sweep",
         [ Alcotest.test_case "generated variant sets" `Quick test_sweep_specs ]
